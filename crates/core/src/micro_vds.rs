@@ -273,9 +273,7 @@ impl<R: Record> Micro<R> {
 
     /// Charge flat overhead cycles (comparison, checkpoint, vote).
     fn burn(&mut self, cycles: u32) {
-        for _ in 0..cycles {
-            self.m.core_mut().step();
-        }
+        self.m.core_mut().advance(u64::from(cycles));
     }
 
     /// Inject the pending one-shot fault if this is its round.

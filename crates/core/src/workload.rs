@@ -27,6 +27,7 @@
 //! 2+S .. 2+S+T       lookup table (read-only)
 //! ```
 
+use std::sync::OnceLock;
 use vds_smtsim::asm::assemble;
 use vds_smtsim::program::{Program, Symbol};
 
@@ -53,13 +54,39 @@ pub const DMEM_WORDS: usize = (ADDR_TABLE + TABLE_WORDS) as usize;
 pub const STATE_WINDOW: std::ops::Range<u32> = 0..ADDR_TABLE;
 
 /// Build the base workload program performing `rounds` rounds.
+///
+/// The program is assembled once per process; `rounds` only sets the
+/// initial remaining-rounds data word.
 pub fn build(rounds: u32) -> Program {
     assert!(rounds >= 1);
+    static BASE: OnceLock<Program> = OnceLock::new();
+    let mut prog = BASE
+        .get_or_init(|| {
+            let prog = assemble(&source(1)).expect("workload must assemble");
+            debug_assert!(matches!(prog.symbol("round"), Some(Symbol::Text(_))));
+            prog
+        })
+        .clone();
+    prog.data[ADDR_REMAINING as usize] = rounds;
+    prog
+}
+
+/// Words of instruction memory that fault-site sampling draws text
+/// sites from: the workload's text plus eight words past its end (those
+/// sites are out of range and the injector reports them masked). The
+/// value seeds site sampling, so it is part of every fault campaign's
+/// identity and must not change.
+pub fn fault_text_span() -> u32 {
+    build(4).text.len() as u32 + 8
+}
+
+/// Assembly source of the workload performing `rounds` rounds.
+fn source(rounds: u32) -> String {
     let s = STATE_WORDS;
     let t_mask = TABLE_WORDS - 1;
     let a_state = ADDR_STATE;
     let a_table = ADDR_TABLE;
-    let src = format!(
+    format!(
         r#"
         ; memory-resident VDS workload: all live state in dmem at yield
         .data
@@ -110,10 +137,7 @@ pub fn build(rounds: u32) -> Program {
         "#,
         addr_round = ADDR_ROUND,
         addr_remaining = ADDR_REMAINING,
-    );
-    let prog = assemble(&src).expect("workload must assemble");
-    debug_assert!(matches!(prog.symbol("round"), Some(Symbol::Text(_))));
-    prog
+    )
 }
 
 /// The round-entry instruction index of a (possibly diversified) workload
@@ -164,6 +188,14 @@ mod tests {
             core.resume(t);
         }
         core.thread(ThreadId(0)).dmem.clone()
+    }
+
+    #[test]
+    fn build_equals_a_fresh_assembly_for_any_round_count() {
+        for rounds in [1, 2, 4, 40, 1_000_000, i32::MAX as u32] {
+            assert_eq!(build(rounds), assemble(&source(rounds)).unwrap());
+        }
+        assert_eq!(fault_text_span(), build(1).text.len() as u32 + 8);
     }
 
     #[test]

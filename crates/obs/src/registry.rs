@@ -86,6 +86,15 @@ impl Registry {
             .observe(x);
     }
 
+    /// Record observations into the named summary, in order: the same as
+    /// calling [`Registry::observe`] for each, with one lookup.
+    pub fn observe_all(&mut self, name: &str, xs: impl IntoIterator<Item = f64>) {
+        let s = self.summaries.entry(name.to_string()).or_default();
+        for x in xs {
+            s.observe(x);
+        }
+    }
+
     /// Fold an already-accumulated summary into the named summary.
     pub fn merge_summary(&mut self, name: &str, s: &Summary) {
         self.summaries.entry(name.to_string()).or_default().merge(s);

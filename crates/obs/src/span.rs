@@ -122,7 +122,7 @@ impl SpanSet {
     /// dropped).
     pub fn with_capacity(capacity: usize) -> Self {
         SpanSet {
-            records: VecDeque::with_capacity(capacity.min(4096)),
+            records: VecDeque::new(),
             capacity,
             dropped: 0,
             open: Vec::new(),
@@ -411,6 +411,13 @@ impl SpanSet {
     /// `span.<component>.<name>.self` observation (total minus time
     /// covered by nested children on the same lane).
     pub fn rollup_into(&self, registry: &mut Registry) {
+        // Observations are grouped by registry key in the order the sweep
+        // emits them, then folded with one lookup per key: the summaries
+        // equal span-by-span observation without formatting two keys per
+        // span. `(component, name)` pairs that format to the same key
+        // share a group.
+        let mut pairs: Vec<(&str, &str, usize)> = Vec::new();
+        let mut groups: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new(); // (stem, totals, selfs)
         for ((comp, _tid), lane) in self.lanes() {
             let mut frames: Vec<(f64, f64, f64)> = Vec::new(); // (begin, self, last)
             Self::sweep(&lane, |ev| match ev {
@@ -423,16 +430,32 @@ impl SpanSet {
                 }
                 SweepEv::End(r, ts) => {
                     let (begin, self_t, last) = frames.pop().expect("sweep is balanced");
-                    registry.observe(&format!("span.{comp}.{}.total", r.name), ts - begin);
-                    registry.observe(
-                        &format!("span.{comp}.{}.self", r.name),
-                        self_t + (ts - last),
-                    );
+                    let g = match pairs.iter().find(|p| p.0 == comp && p.1 == r.name) {
+                        Some(p) => p.2,
+                        None => {
+                            let stem = format!("span.{comp}.{}", r.name);
+                            let g = match groups.iter().position(|g| g.0 == stem) {
+                                Some(g) => g,
+                                None => {
+                                    groups.push((stem, Vec::new(), Vec::new()));
+                                    groups.len() - 1
+                                }
+                            };
+                            pairs.push((comp, r.name, g));
+                            g
+                        }
+                    };
+                    groups[g].1.push(ts - begin);
+                    groups[g].2.push(self_t + (ts - last));
                     if let Some(parent) = frames.last_mut() {
                         parent.2 = ts;
                     }
                 }
             });
+        }
+        for (stem, totals, selfs) in groups {
+            registry.observe_all(&format!("{stem}.total"), totals);
+            registry.observe_all(&format!("{stem}.self"), selfs);
         }
     }
 }
@@ -587,6 +610,58 @@ mod tests {
         assert!((total.mean() - 10.0).abs() < 1e-12);
         let self_t = reg.summary("span.m.round.self").unwrap();
         assert!((self_t.mean() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rollup_equals_span_by_span_observation() {
+        // The grouped fold must give the summaries that observing each
+        // span in sweep order gives, including for two (component, name)
+        // pairs that format to the same key.
+        let mut s = SpanSet::with_capacity(64);
+        for (i, (comp, name)) in [("a.b", "c"), ("a", "b.c"), ("a", "d"), ("a.b", "c")]
+            .into_iter()
+            .enumerate()
+        {
+            for tid in 0..3u32 {
+                let t0 = (i as f64) * 7.3 + f64::from(tid) * 0.1;
+                s.push(SpanRecord {
+                    component: comp,
+                    ..span(t0, t0 + 5.1, name, tid)
+                });
+                s.push(SpanRecord {
+                    component: comp,
+                    ..span(t0 + 1.7, t0 + 2.9, "inner", tid)
+                });
+            }
+        }
+        let mut grouped = Registry::new();
+        s.rollup_into(&mut grouped);
+        let mut reference = Registry::new();
+        for ((comp, _), lane) in s.lanes() {
+            let mut frames: Vec<(f64, f64, f64)> = Vec::new();
+            SpanSet::sweep(&lane, |ev| match ev {
+                SweepEv::Begin(_, ts) => {
+                    if let Some(parent) = frames.last_mut() {
+                        parent.1 += ts - parent.2;
+                        parent.2 = ts;
+                    }
+                    frames.push((ts, 0.0, ts));
+                }
+                SweepEv::End(r, ts) => {
+                    let (begin, self_t, last) = frames.pop().unwrap();
+                    reference.observe(&format!("span.{comp}.{}.total", r.name), ts - begin);
+                    reference.observe(
+                        &format!("span.{comp}.{}.self", r.name),
+                        self_t + (ts - last),
+                    );
+                    if let Some(parent) = frames.last_mut() {
+                        parent.2 = ts;
+                    }
+                }
+            });
+        }
+        assert_eq!(grouped.to_csv(), reference.to_csv());
+        assert_eq!(grouped.summary("span.a.b.c.total").unwrap().count(), 9);
     }
 
     #[test]

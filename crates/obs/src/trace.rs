@@ -119,7 +119,7 @@ impl Trace {
     /// Trace keeping at most `capacity` records (0 disables recording).
     pub fn with_capacity(capacity: usize) -> Self {
         Trace {
-            records: VecDeque::with_capacity(capacity.min(4096)),
+            records: VecDeque::new(),
             capacity,
             dropped: 0,
         }

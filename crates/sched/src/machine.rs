@@ -1,10 +1,15 @@
 //! The machine: an SMT core plus an OS process table.
 
-use vds_smtsim::asm::assemble;
 use vds_smtsim::core::{
     Core, CoreConfig, RunOutcome, SavedContext, Thread, ThreadId, ThreadState, Trap,
 };
+use vds_smtsim::isa::Instr;
 use vds_smtsim::program::Program;
+
+/// The program parked in an empty hardware context: a lone `halt`.
+fn idle_program() -> Program {
+    Program::from_instrs(&[Instr::Halt])
+}
 
 /// Identifies a process in the machine's process table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -65,7 +70,7 @@ impl Machine {
         let n = cfg.max_threads;
         let mut core = Core::new(cfg);
         // park an idle halted program in every hardware context
-        let idle = assemble("halt\n").expect("idle program");
+        let idle = idle_program();
         for _ in 0..n {
             core.add_thread(&idle, 1);
         }
@@ -277,7 +282,7 @@ impl Machine {
         let idle = SavedContext {
             regs: [0; 16],
             pc: 0,
-            prog: assemble("halt\n").expect("idle"),
+            prog: idle_program(),
             dmem: vec![0; 1],
             state: ThreadState::Halted,
         };
@@ -364,7 +369,7 @@ impl Machine {
                 }
                 return outcomes;
             }
-            self.core.step();
+            self.core.run_until_any_blocks(deadline);
         }
     }
 }
@@ -372,7 +377,13 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vds_smtsim::asm::assemble;
     use vds_smtsim::kernels;
+
+    #[test]
+    fn idle_program_is_an_assembled_halt() {
+        assert_eq!(idle_program(), assemble("halt\n").unwrap());
+    }
 
     fn two_round_prog() -> Program {
         assemble(
@@ -501,6 +512,35 @@ mod tests {
         m.dispatch(p, ThreadId(0));
         m.run_hw_until_block(ThreadId(0), 100_000);
         m.with_state(p, |_, _, d| assert_eq!(d[0], 1, "replays round 1"));
+    }
+
+    #[test]
+    fn text_rewritten_through_with_state_mut_takes_effect() {
+        // The path vds-fault's text sites use, on a resident and on a
+        // switched-out process: the rewritten word runs on its next
+        // fetch, and an illegal word traps at its pc.
+        let prog = assemble("loop:\naddi r1, r1, 1\nyield\njal r0, loop\n").unwrap();
+        let add100 = assemble("addi r1, r1, 100\n").unwrap().text[0];
+        let mut m = Machine::new(CoreConfig::default(), 5);
+        let p = m.spawn("v", &prog, 8);
+        let hw = ThreadId(0);
+        m.dispatch(p, hw);
+        assert_eq!(m.run_hw_until_block(hw, 1000), ProcOutcome::Yielded);
+        m.with_state_mut(p, |_, _, _, text| text[0] = add100); // resident
+        m.dispatch(p, hw);
+        assert_eq!(m.run_hw_until_block(hw, 1000), ProcOutcome::Yielded);
+        m.with_state(p, |regs, _, _| assert_eq!(regs[1], 101));
+        m.preempt(p);
+        m.with_state_mut(p, |_, _, _, text| text[0] = add100 + 1); // switched out
+        m.dispatch(p, hw);
+        assert_eq!(m.run_hw_until_block(hw, 1000), ProcOutcome::Yielded);
+        m.with_state(p, |regs, _, _| assert_eq!(regs[1], 202));
+        m.with_state_mut(p, |_, _, _, text| text[0] = 63 << 26);
+        m.dispatch(p, hw);
+        assert_eq!(
+            m.run_hw_until_block(hw, 1000),
+            ProcOutcome::Trapped(Trap::IllegalInstruction { pc: 0 })
+        );
     }
 
     #[test]

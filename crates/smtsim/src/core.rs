@@ -218,6 +218,12 @@ pub struct Thread {
     /// mutually evicting each other's lines — real front-ends keep the
     /// in-flight line in a fill buffer for exactly this reason.
     fetch_fill: Option<u32>,
+    /// Decode cache indexed by pc: the last word fetched there and its
+    /// strict decode (`None` for an illegal word). A hit requires the
+    /// fetched word to equal the cached one, so text rewritten by fault
+    /// injection or a context switch is decoded afresh on its next
+    /// fetch. Never longer than the longest text this context has run.
+    decoded: Vec<Option<(u32, Option<Instr>)>>,
 }
 
 impl Thread {
@@ -240,10 +246,29 @@ impl Thread {
             predictor: Predictor::new(predictor),
             stall_cause: StallCause::Parked,
             fetch_fill: None,
+            decoded: Vec::new(),
+        }
+    }
+
+    /// Strict decode of `word`, fetched at `pc` (which must lie inside
+    /// the text), through the decode cache.
+    #[inline]
+    fn decode_at(&mut self, pc: usize, word: u32) -> Option<Instr> {
+        if pc >= self.decoded.len() {
+            self.decoded.resize(self.prog.text.len(), None);
+        }
+        match self.decoded[pc] {
+            Some((w, instr)) if w == word => instr,
+            _ => {
+                let instr = decode(word).ok();
+                self.decoded[pc] = Some((word, instr));
+                instr
+            }
         }
     }
 
     /// `true` if the thread may still make progress on its own.
+    #[inline]
     pub fn is_live(&self) -> bool {
         matches!(
             self.state,
@@ -343,10 +368,16 @@ pub struct Core {
     /// retired-at-start) counter snapshots.
     open_windows: Vec<Option<(u64, u64, u64)>>,
     windows_dropped: u64,
-    /// Scratch buffers reused across [`Core::step`] calls so the hot
-    /// per-cycle loop allocates nothing.
+    /// ICOUNT priority order, reused across [`Core::step`] calls so the
+    /// hot per-cycle loop allocates nothing.
     order_scratch: Vec<usize>,
-    used_scratch: Vec<(FuClass, usize)>,
+    /// Functional units claimed in the current cycle.
+    used: Vec<(FuClass, usize)>,
+    /// How often a thread has left the live states (yield, halt or
+    /// trap) in [`Core::step`]. Between two such events no thread state
+    /// a host can act on changes, so the run loops look at the states
+    /// only when this moves.
+    blocks: u64,
 }
 
 impl Core {
@@ -371,7 +402,8 @@ impl Core {
             open_windows: Vec::new(),
             windows_dropped: 0,
             order_scratch: Vec::new(),
-            used_scratch: Vec::new(),
+            used: Vec::new(),
+            blocks: 0,
         }
     }
 
@@ -381,6 +413,7 @@ impl Core {
         self.record_windows = on;
     }
 
+    #[inline]
     fn open_window(&mut self, tid: usize) {
         if self.open_windows.len() < self.threads.len() {
             self.open_windows.resize(self.threads.len(), None);
@@ -420,6 +453,12 @@ impl Core {
     /// Current cycle count.
     pub fn cycles(&self) -> u64 {
         self.cycle
+    }
+
+    /// Pipeline windows closed so far (empty unless window recording is
+    /// on); still-open windows are not included.
+    pub fn pipeline_windows(&self) -> &[PipelineWindow] {
+        &self.windows
     }
 
     /// Install a thread running `prog` with a `dmem_words`-word private
@@ -598,21 +637,7 @@ impl Core {
         outgoing
     }
 
-    fn priority_order_into(&self, order: &mut Vec<usize>) {
-        let n = self.threads.len();
-        order.clear();
-        order.extend(0..n);
-        match self.cfg.fetch_policy {
-            FetchPolicy::RoundRobin => {
-                order.rotate_left(self.rr_offset % n.max(1));
-            }
-            FetchPolicy::ICount => {
-                order.sort_by_key(|&i| (self.threads[i].counters.retired, i));
-            }
-        }
-    }
-
-    fn free_unit(&self, class: FuClass, used_this_cycle: &[(FuClass, usize)]) -> Option<usize> {
+    fn free_unit(&self, class: FuClass) -> Option<usize> {
         let count = match class {
             FuClass::Alu => self.cfg.num_alu,
             FuClass::MulDiv => self.cfg.num_mul,
@@ -625,7 +650,7 @@ impl Core {
                 .reservations
                 .iter()
                 .any(|r| r.class == class && r.unit == u && r.until > self.cycle)
-                && !used_this_cycle.contains(&(class, u))
+                && !self.used.contains(&(class, u))
         })
     }
 
@@ -640,113 +665,221 @@ impl Core {
     }
 
     /// Advance one cycle. Returns `true` if any thread issued.
+    ///
+    /// This is the only issue path; [`Core::step_or_skip`] and the run
+    /// loops only add skipping of cycles in which no thread can issue.
     pub fn step(&mut self) -> bool {
         self.cycle += 1;
-        self.reservations.retain(|r| r.until > self.cycle);
-        let mut order = std::mem::take(&mut self.order_scratch);
-        self.priority_order_into(&mut order);
+        if !self.reservations.is_empty() {
+            let now = self.cycle;
+            self.reservations.retain(|r| r.until > now);
+        }
+        let n = self.threads.len();
+        // Round-robin priority rotates by one thread per cycle; ICOUNT
+        // orders by retired instructions, ties by thread index.
+        let start = if n.is_power_of_two() {
+            self.rr_offset & (n - 1)
+        } else {
+            self.rr_offset % n.max(1)
+        };
         self.rr_offset = self.rr_offset.wrapping_add(1);
-
+        let icount = self.cfg.fetch_policy == FetchPolicy::ICount;
+        let mut order = std::mem::take(&mut self.order_scratch);
+        if icount {
+            order.clear();
+            order.extend(0..n);
+            order.sort_by_key(|&i| (self.threads[i].counters.retired, i));
+        }
+        self.used.clear();
         let mut issued = 0usize;
-        let mut used = std::mem::take(&mut self.used_scratch);
-        used.clear();
-        let mut any = false;
-
-        for &tid in &order {
-            // per-cycle bookkeeping
-            self.threads[tid].counters.cycles += 1;
-            if self.record_windows {
-                match self.threads[tid].state {
-                    ThreadState::Yielded | ThreadState::Halted | ThreadState::Trapped(_) => {
-                        self.close_window(tid);
-                    }
-                    _ => self.open_window(tid),
-                }
+        if icount {
+            for &tid in &order {
+                issued += usize::from(self.issue_slot(tid, issued));
             }
-            match self.threads[tid].state {
-                ThreadState::StalledUntil(until) => {
-                    if self.cycle >= until {
-                        self.threads[tid].state = ThreadState::Ready;
-                    } else {
-                        let cause = self.threads[tid].stall_cause;
-                        self.threads[tid].counters.stall(cause);
-                        continue;
-                    }
-                }
-                ThreadState::Yielded | ThreadState::Halted | ThreadState::Trapped(_) => {
-                    self.threads[tid].counters.stall(StallCause::Parked);
-                    continue;
-                }
-                ThreadState::Ready => {}
+        } else {
+            for tid in (start..n).chain(0..start) {
+                issued += usize::from(self.issue_slot(tid, issued));
             }
-
-            if issued >= self.cfg.issue_width {
-                self.threads[tid].counters.stall(StallCause::Width);
-                continue;
-            }
-
-            // fetch
-            let pc = self.threads[tid].pc;
-            if pc as usize >= self.threads[tid].prog.text.len() {
-                self.threads[tid].state = ThreadState::Trapped(Trap::PcOutOfRange { pc });
-                // The trap-transition cycle is neither an issue nor a
-                // cause-specific stall; book it as parked so the
-                // conservation invariant (issued + stalls + parked ==
-                // cycles) holds on trapping runs too.
-                self.threads[tid].counters.stall(StallCause::Parked);
-                continue;
-            }
-            let fill_hit = self.threads[tid].fetch_fill.take() == Some(pc);
-            if !fill_hit && !self.icache.access(tid as u8, pc) {
-                // the line arrives after the memory latency and is held
-                // in the fill buffer, immune to eviction by siblings
-                self.threads[tid].fetch_fill = Some(pc);
-                self.stall(tid, self.cfg.mem_latency, StallCause::ICache);
-                // no issue happened this cycle, so count it as stalled
-                self.threads[tid].counters.stall(StallCause::ICache);
-                continue;
-            }
-            let word = self.threads[tid].prog.text[pc as usize];
-            let instr = match decode(word) {
-                Ok(i) => i,
-                Err(_) => {
-                    self.threads[tid].state = ThreadState::Trapped(Trap::IllegalInstruction { pc });
-                    // Same conservation bookkeeping as the fetch trap.
-                    self.threads[tid].counters.stall(StallCause::Parked);
-                    continue;
-                }
-            };
-
-            // functional unit
-            let class = instr.fu_class();
-            let unit = match self.free_unit(class, &used) {
-                Some(u) => u,
-                None => {
-                    self.threads[tid].counters.stall(StallCause::FuBusy);
-                    continue;
-                }
-            };
-            if class != FuClass::None {
-                used.push((class, unit));
-                let lat = instr.fu_latency();
-                if lat > 1 {
-                    self.reservations.push(FuReservation {
-                        class,
-                        unit,
-                        until: self.cycle + u64::from(lat),
-                    });
-                }
-            }
-
-            issued += 1;
-            any = true;
-            self.threads[tid].counters.issued_cycles += 1;
-            self.execute(tid, &instr, class, unit);
-            self.threads[tid].regs[0] = 0;
         }
         self.order_scratch = order;
-        self.used_scratch = used;
-        any
+        issued > 0
+    }
+
+    /// Thread `tid`'s turn in the current cycle, `issued` instructions
+    /// having issued before it. Books the cycle to the thread and returns
+    /// `true` if it issued.
+    #[inline]
+    fn issue_slot(&mut self, tid: usize, issued: usize) -> bool {
+        let cycle = self.cycle;
+        self.threads[tid].counters.cycles += 1;
+        if self.record_windows {
+            // a window is open exactly while the thread is live
+            let live = self.threads[tid].is_live();
+            let open = matches!(self.open_windows.get(tid), Some(Some(_)));
+            if live && !open {
+                self.open_window(tid);
+            } else if !live && open {
+                self.close_window(tid);
+            }
+        }
+        let t = &mut self.threads[tid];
+        match t.state {
+            ThreadState::Ready => {}
+            ThreadState::StalledUntil(until) if cycle >= until => t.state = ThreadState::Ready,
+            ThreadState::StalledUntil(_) => {
+                t.counters.stall(t.stall_cause);
+                return false;
+            }
+            ThreadState::Yielded | ThreadState::Halted | ThreadState::Trapped(_) => {
+                t.counters.stall(StallCause::Parked);
+                return false;
+            }
+        }
+
+        if issued >= self.cfg.issue_width {
+            t.counters.stall(StallCause::Width);
+            return false;
+        }
+
+        // fetch
+        let pc = t.pc;
+        let Some(&word) = t.prog.text.get(pc as usize) else {
+            t.state = ThreadState::Trapped(Trap::PcOutOfRange { pc });
+            self.blocks += 1;
+            // The trap-transition cycle is neither an issue nor a
+            // cause-specific stall; book it as parked so the
+            // conservation invariant (issued + stalls + parked ==
+            // cycles) holds on trapping runs too.
+            t.counters.stall(StallCause::Parked);
+            return false;
+        };
+        let fill_hit = t.fetch_fill.take() == Some(pc);
+        if !fill_hit && !self.icache.access(tid as u8, pc) {
+            // the line arrives after the memory latency and is held
+            // in the fill buffer, immune to eviction by siblings
+            self.threads[tid].fetch_fill = Some(pc);
+            self.stall(tid, self.cfg.mem_latency, StallCause::ICache);
+            // no issue happened this cycle, so count it as stalled
+            self.threads[tid].counters.stall(StallCause::ICache);
+            return false;
+        }
+        let t = &mut self.threads[tid];
+        let Some(instr) = t.decode_at(pc as usize, word) else {
+            t.state = ThreadState::Trapped(Trap::IllegalInstruction { pc });
+            self.blocks += 1;
+            // Same conservation bookkeeping as the fetch trap.
+            t.counters.stall(StallCause::Parked);
+            return false;
+        };
+
+        // functional unit
+        let class = instr.fu_class();
+        let Some(unit) = self.free_unit(class) else {
+            self.threads[tid].counters.stall(StallCause::FuBusy);
+            return false;
+        };
+        if class != FuClass::None {
+            self.used.push((class, unit));
+            let lat = instr.fu_latency();
+            if lat > 1 {
+                self.reservations.push(FuReservation {
+                    class,
+                    unit,
+                    until: cycle + u64::from(lat),
+                });
+            }
+        }
+
+        self.threads[tid].counters.issued_cycles += 1;
+        self.execute(tid, &instr, class, unit);
+        let t = &mut self.threads[tid];
+        t.regs[0] = 0;
+        if !t.is_live() {
+            self.blocks += 1;
+        }
+        true
+    }
+
+    /// Advance by one [`Core::step`] or, when no thread is ready to
+    /// issue, by the whole stretch of cycles before the earliest wake-up,
+    /// never past `deadline`. A skipped stretch books exactly what
+    /// stepping through it would: thread cycles, the stall cause (or
+    /// `parked`) of every thread, the round-robin rotation, pipeline
+    /// windows and functional-unit reservation expiry. Always advances
+    /// at least one cycle; returns `true` if an instruction issued.
+    pub fn step_or_skip(&mut self, deadline: u64) -> bool {
+        match self.idle_horizon() {
+            Some(last) if last.min(deadline) > self.cycle + 1 && self.windows_settled() => {
+                self.skip_idle(last.min(deadline));
+                false
+            }
+            _ => self.step(),
+        }
+    }
+
+    /// Step (skipping idle stretches) until a thread yields, halts or
+    /// traps, or until `deadline`. No other thread-state change is
+    /// visible to a host, so a run loop that acts on thread states only
+    /// needs to look at them after this returns.
+    pub fn run_until_any_blocks(&mut self, deadline: u64) {
+        let blocks = self.blocks;
+        while self.cycle < deadline && self.blocks == blocks {
+            self.step_or_skip(deadline);
+        }
+    }
+
+    /// Advance exactly `cycles` cycles: the same as that many
+    /// [`Core::step`] calls, with idle stretches skipped.
+    pub fn advance(&mut self, cycles: u64) {
+        let target = self.cycle + cycles;
+        while self.cycle < target {
+            self.step_or_skip(target);
+        }
+    }
+
+    /// The last cycle before any thread can issue again (the cycle
+    /// before the earliest wake-up), or `None` if a thread is ready now.
+    fn idle_horizon(&self) -> Option<u64> {
+        let mut wake = u64::MAX;
+        for t in &self.threads {
+            match t.state {
+                ThreadState::Ready => return None,
+                ThreadState::StalledUntil(until) => wake = wake.min(until),
+                ThreadState::Yielded | ThreadState::Halted | ThreadState::Trapped(_) => {}
+            }
+        }
+        Some(wake.saturating_sub(1))
+    }
+
+    /// `true` if an idle cycle would not touch the pipeline windows:
+    /// every stalled thread already has an open window and every parked
+    /// one a closed window.
+    fn windows_settled(&self) -> bool {
+        !self.record_windows
+            || self.threads.iter().enumerate().all(|(i, t)| {
+                let open = matches!(self.open_windows.get(i), Some(Some(_)));
+                open == matches!(t.state, ThreadState::StalledUntil(_))
+            })
+    }
+
+    /// Book the idle cycles up to and including `to` in one move. Only
+    /// valid when no thread is ready, none wakes before `to + 1` and the
+    /// windows are settled (see [`Core::step_or_skip`]).
+    fn skip_idle(&mut self, to: u64) {
+        let n = to - self.cycle;
+        self.cycle = to;
+        self.rr_offset = self.rr_offset.wrapping_add(n as usize);
+        if !self.reservations.is_empty() {
+            self.reservations.retain(|r| r.until > to);
+        }
+        for t in &mut self.threads {
+            t.counters.cycles += n;
+            let cause = match t.state {
+                ThreadState::StalledUntil(_) => t.stall_cause,
+                _ => StallCause::Parked,
+            };
+            t.counters.stall_for(cause, n);
+        }
     }
 
     /// Park the thread; the stall cycles themselves are counted in
@@ -872,19 +1005,17 @@ impl Core {
     pub fn run_until_all_blocked(&mut self, max_cycles: u64) -> RunOutcome {
         let deadline = self.cycle + max_cycles;
         loop {
-            if let Some((i, t)) = self
-                .threads
-                .iter()
-                .enumerate()
-                .find(|(_, t)| matches!(t.state, ThreadState::Trapped(_)))
-            {
-                let ThreadState::Trapped(trap) = t.state else {
-                    unreachable!()
-                };
-                return RunOutcome::Trapped(ThreadId(i), trap);
+            let (mut live, mut yielded) = (false, false);
+            for (i, t) in self.threads.iter().enumerate() {
+                match t.state {
+                    ThreadState::Trapped(trap) => return RunOutcome::Trapped(ThreadId(i), trap),
+                    ThreadState::Ready | ThreadState::StalledUntil(_) => live = true,
+                    ThreadState::Yielded => yielded = true,
+                    ThreadState::Halted => {}
+                }
             }
-            if !self.threads.iter().any(Thread::is_live) {
-                return if self.threads.iter().any(|t| t.state == ThreadState::Yielded) {
+            if !live {
+                return if yielded {
                     RunOutcome::AllYielded
                 } else {
                     RunOutcome::AllHalted
@@ -893,7 +1024,7 @@ impl Core {
             if self.cycle >= deadline {
                 return RunOutcome::CycleBudgetExhausted;
             }
-            self.step();
+            self.run_until_any_blocks(deadline);
         }
     }
 
@@ -912,7 +1043,7 @@ impl Core {
             if self.cycle >= deadline {
                 return RunOutcome::CycleBudgetExhausted;
             }
-            self.step();
+            self.run_until_any_blocks(deadline);
         }
     }
 }
@@ -1112,6 +1243,29 @@ mod tests {
             RunOutcome::Trapped(_, Trap::IllegalInstruction { pc }) => assert_eq!(pc, 0),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn rewritten_text_is_decoded_afresh() {
+        // The decode cache must not replay a stale word: a fault that
+        // rewrites an already-executed instruction takes effect on the
+        // next fetch, and an illegal word still traps there.
+        let prog = assemble("loop:\naddi r1, r1, 1\nyield\njal r0, loop\n").unwrap();
+        let add100 = assemble("addi r1, r1, 100\n").unwrap().text[0];
+        let mut core = Core::new(CoreConfig::default());
+        let t = core.add_thread(&prog, 16);
+        assert_eq!(core.run_until_all_blocked(1000), RunOutcome::AllYielded);
+        assert_eq!(core.thread(t).regs[1], 1);
+        core.thread_mut(t).prog.text[0] = add100;
+        core.resume(t);
+        assert_eq!(core.run_until_all_blocked(1000), RunOutcome::AllYielded);
+        assert_eq!(core.thread(t).regs[1], 101, "the new word executed");
+        core.thread_mut(t).prog.text[0] = 63 << 26;
+        core.resume(t);
+        assert_eq!(
+            core.run_until_all_blocked(1000),
+            RunOutcome::Trapped(t, Trap::IllegalInstruction { pc: 0 })
+        );
     }
 
     #[test]

@@ -52,15 +52,23 @@ pub struct ThreadCounters {
 
 impl ThreadCounters {
     /// Record a stall of the given cause.
+    #[inline]
     pub fn stall(&mut self, cause: StallCause) {
-        match cause {
-            StallCause::ICache => self.stall_icache += 1,
-            StallCause::DCache => self.stall_dcache += 1,
-            StallCause::FuBusy => self.stall_fu += 1,
-            StallCause::Width => self.stall_width += 1,
-            StallCause::BranchFlush => self.stall_branch += 1,
-            StallCause::Parked => self.parked += 1,
-        }
+        self.stall_for(cause, 1);
+    }
+
+    /// Record `cycles` stall cycles of the given cause.
+    #[inline]
+    pub fn stall_for(&mut self, cause: StallCause, cycles: u64) {
+        let slot = match cause {
+            StallCause::ICache => &mut self.stall_icache,
+            StallCause::DCache => &mut self.stall_dcache,
+            StallCause::FuBusy => &mut self.stall_fu,
+            StallCause::Width => &mut self.stall_width,
+            StallCause::BranchFlush => &mut self.stall_branch,
+            StallCause::Parked => &mut self.parked,
+        };
+        *slot += cycles;
     }
 
     /// Instructions per (active, non-parked) cycle.
