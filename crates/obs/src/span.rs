@@ -119,7 +119,7 @@ fn sane_time(t: f64) -> f64 {
 impl SpanSet {
     /// Span set keeping at most `capacity` completed spans (0 disables
     /// retention; opens/closes still balance, pushes just count as
-    /// dropped).
+    /// dropped). The ring grows on demand.
     pub fn with_capacity(capacity: usize) -> Self {
         SpanSet {
             records: VecDeque::new(),

@@ -117,6 +117,8 @@ pub struct Trace {
 
 impl Trace {
     /// Trace keeping at most `capacity` records (0 disables recording).
+    /// The ring grows on demand, so a short-lived trace allocates only
+    /// for what it records.
     pub fn with_capacity(capacity: usize) -> Self {
         Trace {
             records: VecDeque::new(),

@@ -218,12 +218,12 @@ pub struct Thread {
     /// mutually evicting each other's lines — real front-ends keep the
     /// in-flight line in a fill buffer for exactly this reason.
     fetch_fill: Option<u32>,
-    /// Decode cache indexed by pc: the last word fetched there and its
-    /// strict decode (`None` for an illegal word). A hit requires the
-    /// fetched word to equal the cached one, so text rewritten by fault
+    /// Decode cache indexed by pc: a word seen there and its strict
+    /// decode (`None` for an illegal word). A hit requires the fetched
+    /// word to equal the cached one, so text rewritten by fault
     /// injection or a context switch is decoded afresh on its next
     /// fetch. Never longer than the longest text this context has run.
-    decoded: Vec<Option<(u32, Option<Instr>)>>,
+    decoded: Vec<(u32, Option<Instr>)>,
 }
 
 impl Thread {
@@ -255,13 +255,16 @@ impl Thread {
     #[inline]
     fn decode_at(&mut self, pc: usize, word: u32) -> Option<Instr> {
         if pc >= self.decoded.len() {
-            self.decoded.resize(self.prog.text.len(), None);
+            // grow to the text, predecoding the words now there
+            let text = &self.prog.text[self.decoded.len()..];
+            self.decoded
+                .extend(text.iter().map(|&w| (w, decode(w).ok())));
         }
         match self.decoded[pc] {
-            Some((w, instr)) if w == word => instr,
+            (w, instr) if w == word => instr,
             _ => {
                 let instr = decode(word).ok();
-                self.decoded[pc] = Some((word, instr));
+                self.decoded[pc] = (word, instr);
                 instr
             }
         }
@@ -666,8 +669,8 @@ impl Core {
 
     /// Advance one cycle. Returns `true` if any thread issued.
     ///
-    /// This is the only issue path; [`Core::step_or_skip`] and the run
-    /// loops only add skipping of cycles in which no thread can issue.
+    /// This is the only issue path; [`Core::advance`] and the run loops
+    /// only add skipping of cycles in which no thread can issue.
     pub fn step(&mut self) -> bool {
         self.cycle += 1;
         if !self.reservations.is_empty() {
@@ -683,25 +686,25 @@ impl Core {
             self.rr_offset % n.max(1)
         };
         self.rr_offset = self.rr_offset.wrapping_add(1);
-        let icount = self.cfg.fetch_policy == FetchPolicy::ICount;
-        let mut order = std::mem::take(&mut self.order_scratch);
-        if icount {
-            order.clear();
-            order.extend(0..n);
-            order.sort_by_key(|&i| (self.threads[i].counters.retired, i));
-        }
         self.used.clear();
         let mut issued = 0usize;
-        if icount {
-            for &tid in &order {
-                issued += usize::from(self.issue_slot(tid, issued));
+        match self.cfg.fetch_policy {
+            FetchPolicy::RoundRobin => {
+                for tid in (start..n).chain(0..start) {
+                    issued += usize::from(self.issue_slot(tid, issued));
+                }
             }
-        } else {
-            for tid in (start..n).chain(0..start) {
-                issued += usize::from(self.issue_slot(tid, issued));
+            FetchPolicy::ICount => {
+                let mut order = std::mem::take(&mut self.order_scratch);
+                order.clear();
+                order.extend(0..n);
+                order.sort_by_key(|&i| (self.threads[i].counters.retired, i));
+                for &tid in &order {
+                    issued += usize::from(self.issue_slot(tid, issued));
+                }
+                self.order_scratch = order;
             }
         }
-        self.order_scratch = order;
         issued > 0
     }
 
@@ -806,14 +809,15 @@ impl Core {
     /// stepping through it would: thread cycles, the stall cause (or
     /// `parked`) of every thread, the round-robin rotation, pipeline
     /// windows and functional-unit reservation expiry. Always advances
-    /// at least one cycle; returns `true` if an instruction issued.
-    pub fn step_or_skip(&mut self, deadline: u64) -> bool {
+    /// at least one cycle.
+    fn step_or_skip(&mut self, deadline: u64) {
         match self.idle_horizon() {
             Some(last) if last.min(deadline) > self.cycle + 1 && self.windows_settled() => {
                 self.skip_idle(last.min(deadline));
-                false
             }
-            _ => self.step(),
+            _ => {
+                self.step();
+            }
         }
     }
 
