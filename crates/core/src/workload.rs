@@ -72,10 +72,10 @@ pub fn build(rounds: u32) -> Program {
 }
 
 /// Words of instruction memory that fault-site sampling draws text
-/// sites from: the workload's text plus eight words past its end (those
-/// sites are out of range and the injector reports them masked). The
-/// value seeds site sampling, so it is part of every fault campaign's
-/// identity and must not change.
+/// sites from: the base workload's text plus eight words, since
+/// diversified versions can be longer (a site past a version's text is
+/// masked). Sampled sites depend on this value, so changing it changes
+/// every seeded fault campaign.
 pub fn fault_text_span() -> u32 {
     build(4).text.len() as u32 + 8
 }

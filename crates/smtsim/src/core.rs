@@ -458,12 +458,6 @@ impl Core {
         self.cycle
     }
 
-    /// Pipeline windows closed so far (empty unless window recording is
-    /// on); still-open windows are not included.
-    pub fn pipeline_windows(&self) -> &[PipelineWindow] {
-        &self.windows
-    }
-
     /// Install a thread running `prog` with a `dmem_words`-word private
     /// address space. Returns its id.
     ///

@@ -9,8 +9,8 @@
 //! one core through the fast loops and one through reference loops
 //! built from `Core::step` alone, and require every observable to match
 //! after every operation: cycle count, run outcomes, per-thread counters
-//! and architectural state, pipeline windows (closed and still open),
-//! cache statistics and the exported metrics.
+//! and architectural state, pipeline windows (closed and still open, as
+//! exported spans), cache statistics and the exported metrics.
 
 use proptest::prelude::*;
 use vds_smtsim::cache::CacheConfig;
@@ -131,9 +131,8 @@ fn observe(core: &Core) -> String {
         })
         .collect();
     format!(
-        "cycles={} threads={threads:?} windows={:?} spans={spans:?} i$={:?} d$={:?}\n{}",
+        "cycles={} threads={threads:?} spans={spans:?} i$={:?} d$={:?}\n{}",
         core.cycles(),
-        core.pipeline_windows(),
         core.icache_stats(),
         core.dcache_stats(),
         rec.registry().to_csv()
