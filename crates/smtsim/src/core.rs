@@ -672,8 +672,9 @@ impl Core {
             self.reservations.retain(|r| r.until > now);
         }
         let n = self.threads.len();
-        // Round-robin priority rotates by one thread per cycle; ICOUNT
-        // orders by retired instructions, ties by thread index.
+        // Round-robin priority rotates by one thread per cycle (a mask,
+        // not a division, for power-of-two thread counts); ICOUNT orders
+        // by retired instructions, ties by thread index.
         let start = if n.is_power_of_two() {
             self.rr_offset & (n - 1)
         } else {
