@@ -185,7 +185,16 @@ impl Cache {
             self.stats.hits += 1;
             return true;
         }
+        self.fill(set_idx, key);
+        false
+    }
 
+    /// The miss path of [`Cache::access`]: allocate `key` in set `set_idx`.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, set_idx: usize, key: u64) {
+        let ways = self.cfg.ways;
+        let set = &mut self.lines[set_idx * ways..][..ways];
         self.stats.misses += 1;
         if let Some(pos) = self.evicted_by_other.iter().position(|&k| k == key) {
             self.stats.thread_conflicts += 1;
@@ -205,7 +214,7 @@ impl Cache {
             }
         };
         let old = set[victim].key;
-        if old != EMPTY && (old >> 32) as u8 != thread {
+        if old != EMPTY && old >> 32 != key >> 32 {
             // remember cross-thread eviction so a re-miss by the owner
             // counts as an inter-thread conflict
             if self.evicted_by_other.len() < self.cfg.capacity_words() {
@@ -216,7 +225,6 @@ impl Cache {
             key,
             stamp: self.clock,
         };
-        false
     }
 }
 
