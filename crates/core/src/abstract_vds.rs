@@ -99,6 +99,34 @@ struct Engine<'a, R> {
     /// forensics `fault_id` (stable across reruns because entries are
     /// journalled in execution order).
     next_fault_id: u64,
+    /// Normal rounds attempted so far, faulted or not (the livelock
+    /// guard's count).
+    attempts: u64,
+}
+
+/// Per-version-round corruption draw under `fm`.
+#[inline(always)]
+fn draw(
+    rng: &mut SmallRng,
+    oneshot_fired: &mut bool,
+    fm: &FaultModel,
+    victim: Victim,
+    round_1based: u32,
+) -> bool {
+    match *fm {
+        FaultModel::None => false,
+        FaultModel::OneShot { round, victim: v } => {
+            if !*oneshot_fired && round == round_1based && v == victim {
+                *oneshot_fired = true;
+                true
+            } else {
+                false
+            }
+        }
+        FaultModel::PerRound { q }
+        | FaultModel::PerRoundWithCrashes { q, .. }
+        | FaultModel::Mission { q, .. } => rng.gen::<f64>() < q,
+    }
 }
 
 impl<'a, R: Record> Engine<'a, R> {
@@ -117,19 +145,27 @@ impl<'a, R: Record> Engine<'a, R> {
             rec,
             pending: None,
             next_fault_id: 0,
+            attempts: 0,
         }
     }
 
-    /// Stash the flight-recorder entry for round `i`. The abstract engine
-    /// has no architectural state to hash, so per-version digests are
+    /// Stash the flight-recorder entry for round `i`, compared at `clock`
+    /// with `committed` rounds committed. The abstract engine has no
+    /// architectural state to hash, so per-version digests are
     /// synthesised from the versions' logical round state (round,
     /// committed count, corruption) — fault-free versions agree, a
     /// corrupted version diverges, exactly like the micro digests.
-    fn journal_stash(&mut self, i: u32, verdict: JournalVerdict, fault: Option<String>) {
+    fn journal_stash(
+        &mut self,
+        i: u32,
+        clock: f64,
+        committed: u64,
+        verdict: JournalVerdict,
+        fault: Option<String>,
+    ) {
         if !self.rec.journal_enabled() {
             return;
         }
-        let committed = self.report.committed_rounds;
         let dig = |slot: u32, corrupt: bool| {
             digest_words128(&[
                 i,
@@ -153,7 +189,7 @@ impl<'a, R: Record> Engine<'a, R> {
             lane: 0,
             round: u64::from(i),
             committed: 0,
-            sim_time: self.clock,
+            sim_time: clock,
             d1: dig(0, self.corrupt[0]),
             d2: dig(1, self.corrupt[1]),
             verdict,
@@ -176,26 +212,53 @@ impl<'a, R: Record> Engine<'a, R> {
 
     /// Finalise and push the pending journal entry with the post-action
     /// committed-round count.
-    fn journal_finish(&mut self) {
+    fn journal_finish(&mut self, committed: u64) {
         if let Some(mut p) = self.pending.take() {
-            p.committed = self.report.committed_rounds;
+            p.committed = committed;
             self.rec.journal_push(p);
         }
     }
 
-    /// Record a timeline span. The label is a closure so hot call sites
-    /// don't pay for `format!` allocations when no timeline is kept —
-    /// it runs only when `record_timeline` is set.
-    fn span(&mut self, lane: usize, dur: f64, kind: SpanKind, label: impl FnOnce() -> String) {
-        if self.cfg.record_timeline {
-            self.timeline.record(
-                lane,
-                SimTime::from_secs(self.clock),
-                SimTime::from_secs(self.clock + dur),
-                kind,
-                label(),
-            );
+    /// Journal hook of a committed fault-free round `i` (compared at
+    /// `clock`), including the checkpoint it may close.
+    #[inline(never)]
+    fn journal_commit(&mut self, i: u32, clock: f64, committed: u64, checkpoint: bool) {
+        self.journal_stash(i, clock, committed, JournalVerdict::Match, None);
+        if checkpoint {
+            self.journal_action(JournalAction::Checkpoint, 0);
         }
+        self.journal_finish(committed);
+    }
+
+    /// Record a timeline span starting at `at`. The label is a closure so
+    /// hot call sites don't pay for `format!` allocations when no
+    /// timeline is kept — it runs only when `record_timeline` is set.
+    /// The recording itself is out of line: inlined, it costs the
+    /// stretch loop its register-resident locals (about 3× per round).
+    #[inline(always)]
+    fn span(
+        &mut self,
+        lane: usize,
+        at: f64,
+        dur: f64,
+        kind: SpanKind,
+        label: impl FnOnce() -> String,
+    ) {
+        if self.cfg.record_timeline {
+            self.record_span(lane, at, dur, kind, label());
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn record_span(&mut self, lane: usize, at: f64, dur: f64, kind: SpanKind, label: String) {
+        self.timeline.record(
+            lane,
+            SimTime::from_secs(at),
+            SimTime::from_secs(at + dur),
+            kind,
+            label,
+        );
     }
 
     fn is_smt(&self) -> bool {
@@ -225,24 +288,6 @@ impl<'a, R: Record> Engine<'a, R> {
                 );
                 self.report.committed_rounds = 0;
             }
-        }
-    }
-
-    /// Per-version-round corruption draw under the configured model.
-    fn draw_fault(&mut self, fm: &FaultModel, victim: Victim, round_1based: u32) -> bool {
-        match *fm {
-            FaultModel::None => false,
-            FaultModel::OneShot { round, victim: v } => {
-                if !self.oneshot_fired && round == round_1based && v == victim {
-                    self.oneshot_fired = true;
-                    true
-                } else {
-                    false
-                }
-            }
-            FaultModel::PerRound { q } => self.rng.gen::<f64>() < q,
-            FaultModel::PerRoundWithCrashes { q, .. } => self.rng.gen::<f64>() < q,
-            FaultModel::Mission { q, .. } => self.rng.gen::<f64>() < q,
         }
     }
 
@@ -291,48 +336,140 @@ impl<'a, R: Record> Engine<'a, R> {
         self.rng.gen::<f64>() < p_any
     }
 
-    /// Execute one normal-processing round pair plus comparison.
-    /// Returns `Some(i)` when a mismatch (or crash) is detected at round
-    /// `i`, `None` on success.
-    fn normal_round(&mut self, fm: &FaultModel) -> Option<u32> {
-        let p = &self.cfg.params;
-        let i = self.round_in_interval + 1;
-        let start = self.clock;
-        if self.is_smt() {
-            let dur = 2.0 * p.alpha * p.t;
-            self.span(0, dur, SpanKind::Round, || format!("V1 R{i}"));
-            self.span(1, dur, SpanKind::Round, || format!("V2 R{i}"));
-            self.clock += dur;
-        } else {
-            self.span(0, p.t, SpanKind::Round, || format!("V1 R{i}"));
-            self.clock += p.t;
-            self.span(0, p.c, SpanKind::ContextSwitch, String::new);
-            self.clock += p.c;
-            self.span(0, p.t, SpanKind::Round, || format!("V2 R{i}"));
-            self.clock += p.t;
-            self.span(0, p.c, SpanKind::ContextSwitch, String::new);
-            self.clock += p.c;
+    /// Run normal rounds, and the checkpoints that close intervals, until
+    /// a fault draw hits, `target` rounds are committed, or the attempt
+    /// count passes `max_attempts` (a fail-safe shutdown). Returns the
+    /// round whose draw hit and whether V1's draw was the one.
+    ///
+    /// The engine's hot state lives in locals for the whole stretch and
+    /// is written back once. Per-round instrumentation runs as hooks that
+    /// take these values explicitly, each guarded by `journal_enabled`,
+    /// `is_active` (inside `obs_event!`) or `record_timeline` (inside
+    /// [`Engine::span`]); under [`NoopRecorder`] the first two are
+    /// constant `false`, so the loop is the arithmetic, the draws and the
+    /// counters alone. The clock additions, their order and the draw
+    /// order (V1, then V2) are those of one round at a time.
+    fn stretch(&mut self, fm: &FaultModel, target: u64, max_attempts: u64) -> Option<(u32, bool)> {
+        let p = self.cfg.params;
+        let smt = self.is_smt();
+        let smt_dur = 2.0 * p.alpha * p.t;
+        let checkpoint_cost = self.cfg.checkpoint_cost;
+        let mut clock = self.clock;
+        let mut time_normal = self.report.time_normal;
+        let mut time_checkpoint = self.report.time_checkpoint;
+        let mut checkpoints = self.report.checkpoints;
+        let mut committed = self.report.committed_rounds;
+        let mut round_in_interval = self.round_in_interval;
+        let mut attempts = self.attempts;
+        let mut rng = self.rng.clone();
+        let mut oneshot_fired = self.oneshot_fired;
+        let mut faulted = None;
+        while committed < target {
+            attempts += 1;
+            if attempts > max_attempts {
+                self.report.shutdown = true;
+                break;
+            }
+            let i = round_in_interval + 1;
+            let start = clock;
+            if smt {
+                self.span(0, clock, smt_dur, SpanKind::Round, || format!("V1 R{i}"));
+                self.span(1, clock, smt_dur, SpanKind::Round, || format!("V2 R{i}"));
+                clock += smt_dur;
+            } else {
+                self.span(0, clock, p.t, SpanKind::Round, || format!("V1 R{i}"));
+                clock += p.t;
+                self.span(0, clock, p.c, SpanKind::ContextSwitch, String::new);
+                clock += p.c;
+                self.span(0, clock, p.t, SpanKind::Round, || format!("V2 R{i}"));
+                clock += p.t;
+                self.span(0, clock, p.c, SpanKind::ContextSwitch, String::new);
+                clock += p.c;
+            }
+            self.span(0, clock, p.t_cmp, SpanKind::Compare, || "cmp".to_string());
+            clock += p.t_cmp;
+            time_normal += clock - start;
+            // fault draws: each version-round is exposed independently;
+            // V2 is drawn here only when V1's draw missed, otherwise after
+            // V1's classification in `faulted_round`
+            let v1 = draw(&mut rng, &mut oneshot_fired, fm, Victim::V1, i);
+            if v1 || draw(&mut rng, &mut oneshot_fired, fm, Victim::V2, i) {
+                faulted = Some((i, v1));
+                break;
+            }
+            round_in_interval = i;
+            committed += 1;
+            let checkpoint = round_in_interval >= p.s;
+            if self.rec.journal_enabled() {
+                self.journal_commit(i, clock, committed, checkpoint);
+            }
+            obs_event!(
+                self.rec, clock, "vds", "round",
+                "round" => u64::from(i), "comparison" => "match",
+            );
+            if checkpoint {
+                let start = clock;
+                self.span(0, clock, checkpoint_cost, SpanKind::Checkpoint, || {
+                    "ckpt".to_string()
+                });
+                clock += checkpoint_cost;
+                time_checkpoint += clock - start;
+                checkpoints += 1;
+                round_in_interval = 0;
+                obs_event!(self.rec, clock, "vds", "checkpoint", "number" => checkpoints);
+            }
         }
-        // fault draws: each version-round is exposed independently
+        if committed != self.report.committed_rounds {
+            self.consecutive_rollbacks = 0;
+        }
+        self.clock = clock;
+        self.report.time_normal = time_normal;
+        self.report.time_checkpoint = time_checkpoint;
+        self.report.checkpoints = checkpoints;
+        self.report.committed_rounds = committed;
+        self.round_in_interval = round_in_interval;
+        self.attempts = attempts;
+        self.rng = rng;
+        self.oneshot_fired = oneshot_fired;
+        faulted
+    }
+
+    /// The rest of round `i` after a fault draw hit (`v1`: V1's draw hit;
+    /// otherwise V2's did): classify the corruptions, note them for the
+    /// flight recorder, then either roll back from a processor stop
+    /// (`None`) or detect and [`Engine::recover`].
+    #[cold]
+    #[inline(never)]
+    fn faulted_round(
+        &mut self,
+        fm: &FaultModel,
+        i: u32,
+        v1: bool,
+        predictor: &mut Option<&mut dyn FaultPredictor>,
+    ) -> Option<Incident> {
         let mut stopped = false;
-        let mut drawn: Vec<Victim> = Vec::new();
+        let mut drawn = [Victim::V1; 2];
+        let mut n = 0;
         for v in [Victim::V1, Victim::V2] {
-            if self.draw_fault(fm, v, i) {
+            let hit = match v {
+                Victim::V1 => v1,
+                // V2's draw was taken in the loop only if V1's missed,
+                // and then it hit
+                Victim::V2 => !v1 || draw(&mut self.rng, &mut self.oneshot_fired, fm, v, i),
+            };
+            if hit {
                 self.report.faults_injected += 1;
                 self.corrupt[v.index()] = true;
                 stopped |= self.classify_corruption(fm, v);
-                drawn.push(v);
+                drawn[n] = v;
+                n += 1;
             }
         }
-        self.span(0, p.t_cmp, SpanKind::Compare, || "cmp".to_string());
-        self.clock += p.t_cmp;
-        self.report.time_normal += self.clock - start;
+        let drawn = &drawn[..n];
 
         // canonical fault note for the flight recorder, e.g.
         // `corrupt@v1`, `crash@v2`, `stop@v1+v2`
-        let fault_note = if drawn.is_empty() || !self.rec.journal_enabled() {
-            None
-        } else {
+        let fault_note = self.rec.journal_enabled().then(|| {
             let kind = if stopped {
                 "stop"
             } else if self.crash.is_some() {
@@ -344,16 +481,17 @@ impl<'a, R: Record> Engine<'a, R> {
                 .iter()
                 .map(|v| format!("v{}", v.index() + 1))
                 .collect();
-            Some(format!("{kind}@{}", victims.join("+")))
-        };
+            format!("{kind}@{}", victims.join("+"))
+        });
 
         // every corruption drawn in a normal round is caught by this
         // round's own comparison (or the stop watchdog): zero-latency
         // detection in both the round and sim-time denominations
-        self.report.faults_detected += drawn.len() as u64;
+        self.report.faults_detected += n as u64;
 
+        let (clock, committed) = (self.clock, self.report.committed_rounds);
         if stopped {
-            self.journal_stash(i, JournalVerdict::Hang, fault_note);
+            self.journal_stash(i, clock, committed, JournalVerdict::Hang, fault_note);
             // the whole processor stopped: all volatile state is gone;
             // only the stable-storage checkpoint survives
             self.report.processor_stops += 1;
@@ -380,40 +518,47 @@ impl<'a, R: Record> Engine<'a, R> {
             return None;
         }
 
-        if self.corrupt[0] || self.corrupt[1] || self.crash.is_some() {
-            self.report.detections += 1;
-            let verdict = if self.crash.is_some() {
-                JournalVerdict::Trap
-            } else {
-                JournalVerdict::Mismatch
-            };
-            self.journal_stash(i, verdict, fault_note);
-            obs_event!(
-                self.rec, self.clock, "vds", "detect",
-                "round" => u64::from(i),
-                "v1_corrupt" => self.corrupt[0],
-                "v2_corrupt" => self.corrupt[1],
-                "crash_evidence" => self.crash.is_some(),
-            );
-            Some(i)
+        self.report.detections += 1;
+        let verdict = if self.crash.is_some() {
+            JournalVerdict::Trap
         } else {
-            self.round_in_interval = i;
-            self.report.committed_rounds += 1;
-            self.consecutive_rollbacks = 0;
-            self.journal_stash(i, JournalVerdict::Match, fault_note);
-            obs_event!(
-                self.rec, self.clock, "vds", "round",
-                "round" => u64::from(i), "comparison" => "match",
-            );
-            None
-        }
+            JournalVerdict::Mismatch
+        };
+        self.journal_stash(i, clock, committed, verdict, fault_note);
+        obs_event!(
+            self.rec, clock, "vds", "detect",
+            "round" => u64::from(i),
+            "v1_corrupt" => self.corrupt[0],
+            "v2_corrupt" => self.corrupt[1],
+            "crash_evidence" => self.crash.is_some(),
+        );
+        Some(self.recover(i, fm, predictor))
+    }
+
+    /// One [`Engine::stretch`] and, if a draw hit, its faulted round,
+    /// journalled. Returns the incident when a recovery ran.
+    fn advance(
+        &mut self,
+        fm: &FaultModel,
+        target: u64,
+        max_attempts: u64,
+        predictor: &mut Option<&mut dyn FaultPredictor>,
+    ) -> Option<Incident> {
+        let (i, v1) = self.stretch(fm, target, max_attempts)?;
+        let incident = self.faulted_round(fm, i, v1, predictor);
+        self.journal_finish(self.report.committed_rounds);
+        incident
     }
 
     fn take_checkpoint(&mut self) {
         let start = self.clock;
-        self.span(0, self.cfg.checkpoint_cost, SpanKind::Checkpoint, || {
-            "ckpt".to_string()
-        });
+        self.span(
+            0,
+            start,
+            self.cfg.checkpoint_cost,
+            SpanKind::Checkpoint,
+            || "ckpt".to_string(),
+        );
         self.clock += self.cfg.checkpoint_cost;
         self.report.time_checkpoint += self.clock - start;
         self.report.checkpoints += 1;
@@ -478,17 +623,19 @@ impl<'a, R: Record> Engine<'a, R> {
     ) -> Incident {
         let start = self.clock;
         let rec_time = self.recovery_time(i);
-        self.span(0, rec_time, SpanKind::Retry, || format!("V3 R1..R{i}"));
+        self.span(0, start, rec_time, SpanKind::Retry, || {
+            format!("V3 R1..R{i}")
+        });
         if self.is_smt() && self.rollforward_rounds(i) > 0 {
             // A zero-length window (⌊i/4⌋ = 0 for i < 4, or i = s) is pure
             // stop-and-retry: the second hardware thread has nothing to
             // execute, so no roll-forward appears on the timeline.
-            self.span(1, rec_time, SpanKind::RollForward, || {
+            self.span(1, start, rec_time, SpanKind::RollForward, || {
                 "roll-forward".to_string()
             });
         }
         self.clock += rec_time;
-        self.span(0, self.cfg.params.t_cmp, SpanKind::Vote, || {
+        self.span(0, self.clock, self.cfg.params.t_cmp, SpanKind::Vote, || {
             "vote".to_string()
         });
         // (vote time is part of rec_time's 2t'; span is illustrative)
@@ -696,25 +843,8 @@ fn run_engine<R: Record>(
     // interval. A real system's watchdog would declare the mission lost;
     // we bound the attempts and report a fail-safe shutdown.
     let max_attempts = 64 * target_rounds + 100_000;
-    let mut attempts = 0u64;
     while e.report.committed_rounds < target_rounds && !e.report.shutdown {
-        attempts += 1;
-        if attempts > max_attempts {
-            e.report.shutdown = true;
-            break;
-        }
-        match e.normal_round(&fault_model) {
-            None => {
-                if e.round_in_interval >= cfg.params.s {
-                    e.take_checkpoint();
-                    e.journal_action(JournalAction::Checkpoint, 0);
-                }
-            }
-            Some(i) => {
-                e.recover(i, &fault_model, &mut predictor);
-            }
-        }
-        e.journal_finish();
+        e.advance(&fault_model, target_rounds, max_attempts, &mut predictor);
     }
     e.report.total_time = e.clock;
     let mut rec = e.rec;
@@ -746,21 +876,12 @@ pub fn simulate_incident(
     }
     let fm = FaultModel::OneShot { round: i, victim };
     let mut e = Engine::with_recorder(&cfg, 1, NoopRecorder);
-    // advance through the fault-free prefix
-    loop {
-        match e.normal_round(&fm) {
-            None => {
-                if e.round_in_interval >= cfg.params.s {
-                    e.take_checkpoint();
-                }
-            }
-            Some(at) => {
-                assert_eq!(at, i, "one-shot fault must be detected at round i");
-                let mut none: Option<&mut dyn FaultPredictor> = None;
-                return e.recover(at, &fm, &mut none);
-            }
-        }
-    }
+    // run through the fault-free prefix into the fault's recovery
+    let incident = e
+        .advance(&fm, u64::MAX, u64::MAX, &mut None)
+        .expect("a one-shot fault is detected and recovered");
+    assert_eq!(incident.i, i, "one-shot fault must be detected at round i");
+    incident
 }
 
 #[cfg(test)]

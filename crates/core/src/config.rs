@@ -129,8 +129,10 @@ pub enum FaultModel {
         victim: Victim,
     },
     /// Every executed round (normal, retry or roll-forward) corrupts the
-    /// executing version with probability `q`, victim chosen 50/50 in
-    /// normal rounds. The long-run stochastic model.
+    /// executing version with probability `q`. In a normal round each
+    /// version is drawn independently (V1, then V2), so both can be hit
+    /// in one round, which counts as two injected faults. The long-run
+    /// stochastic model.
     PerRound {
         /// Per-round corruption probability.
         q: f64,

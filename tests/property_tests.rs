@@ -77,6 +77,27 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
     ]
 }
 
+fn arb_fault_model() -> impl Strategy<Value = vds::core::FaultModel> {
+    use vds::core::{FaultModel, Victim};
+    prop_oneof![
+        Just(FaultModel::None),
+        (1u32..45, any::<bool>()).prop_map(|(round, v2)| FaultModel::OneShot {
+            round,
+            victim: if v2 { Victim::V2 } else { Victim::V1 },
+        }),
+        (0.0f64..0.3).prop_map(|q| FaultModel::PerRound { q }),
+        (0.0f64..0.3, 0.0f64..=1.0)
+            .prop_map(|(q, crash_fraction)| FaultModel::PerRoundWithCrashes { q, crash_fraction }),
+        (0.0f64..0.3, 0.0f64..0.5, 0.0f64..0.5).prop_map(|(q, crash_fraction, stop_fraction)| {
+            FaultModel::Mission {
+                q,
+                crash_fraction,
+                stop_fraction,
+            }
+        }),
+    ]
+}
+
 proptest! {
     #[test]
     fn encode_decode_roundtrips(instr in arb_instr()) {
@@ -196,6 +217,43 @@ proptest! {
             r.rollforward_hits + r.rollforward_misses + r.rollforward_discards
                 <= r.recoveries_ok
         );
+    }
+
+    // The abstract engine's per-round hooks (journal, events, timeline)
+    // only observe: a run with all of them on reports exactly the bits of
+    // an uninstrumented run, and its journal ends at the report's count.
+    #[test]
+    fn abstract_instrumentation_never_changes_the_run(
+        alpha in 0.5f64..=1.0,
+        beta in 0.0f64..=0.5,
+        s in 1u32..40,
+        scheme in 0usize..6,
+        fm in arb_fault_model(),
+        seed in any::<u64>(),
+        p_correct in 0.0f64..=1.0,
+        costs in (0.0f64..2.0, 0.0f64..2.0),
+        max_rollbacks in 1u32..40,
+        target in 1u64..400,
+    ) {
+        use vds::core::abstract_vds::{run, run_with_recorder, AbstractConfig};
+        use vds::core::Scheme;
+        use vds::obs::journal::JournalHeader;
+        use vds::obs::Recorder;
+        let scheme = Scheme::ALL[scheme];
+        let mut cfg = AbstractConfig::new(Params::with_beta(alpha, beta, s), scheme);
+        cfg.p_correct = p_correct;
+        (cfg.checkpoint_cost, cfg.restore_cost) = costs;
+        cfg.max_consecutive_rollbacks = max_rollbacks;
+        let plain = run(&cfg, fm, target, seed);
+        let mut rec = Recorder::new();
+        rec.enable_journal(JournalHeader::new("abstract", scheme.name(), seed, s, target));
+        cfg.record_timeline = true;
+        let (mut recorded, rec) = run_with_recorder(&cfg, fm, target, seed, rec);
+        prop_assert!(recorded.timeline.take().is_some());
+        // Debug prints every field, each f64 in round-trip precision
+        prop_assert_eq!(format!("{plain:?}"), format!("{recorded:?}"));
+        let last = rec.journal().entries().last().expect("at least one round");
+        prop_assert_eq!(last.committed, plain.committed_rounds);
     }
 
     #[test]
