@@ -105,7 +105,6 @@ struct Engine<'a, R> {
 }
 
 /// Per-version-round corruption draw under `fm`.
-#[inline(always)]
 fn draw(
     rng: &mut SmallRng,
     oneshot_fired: &mut bool,
@@ -221,7 +220,6 @@ impl<'a, R: Record> Engine<'a, R> {
 
     /// Journal hook of a committed fault-free round `i` (compared at
     /// `clock`), including the checkpoint it may close.
-    #[inline(never)]
     fn journal_commit(&mut self, i: u32, clock: f64, committed: u64, checkpoint: bool) {
         self.journal_stash(i, clock, committed, JournalVerdict::Match, None);
         if checkpoint {
@@ -235,7 +233,6 @@ impl<'a, R: Record> Engine<'a, R> {
     /// timeline is kept — it runs only when `record_timeline` is set.
     /// The recording itself is out of line: inlined, it costs the
     /// stretch loop its register-resident locals (about 3× per round).
-    #[inline(always)]
     fn span(
         &mut self,
         lane: usize,
